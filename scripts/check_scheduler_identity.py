@@ -9,10 +9,6 @@ load; its admissibility rests on dispatching exactly the heap's
 the unit-level ordering tests live in
 ``tests/simulation/test_scheduler_identity.py``.
 
-Also cross-checks the flat (non-aggregated) flow solver against the default
-hierarchical one (``REPRO_FLAT_SOLVER=1``), the equivalent end-to-end gate
-for the aggregation rails.
-
 Usage::
 
     PYTHONPATH=src python scripts/check_scheduler_identity.py [--scale ci|paper]
@@ -33,7 +29,6 @@ from repro.experiments.registry import EXPERIMENTS, run_experiment
 PASSES = (
     ("heap", {"REPRO_SCHEDULER": "heap"}),
     ("wheel", {"REPRO_SCHEDULER": "wheel"}),
-    ("flat-solver", {"REPRO_FLAT_SOLVER": "1"}),
 )
 
 

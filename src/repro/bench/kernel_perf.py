@@ -260,11 +260,9 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
     Same synchronised-wave shape as ``flow_storm_5k``, scaled past what a
     per-flow solver or a binary-heap event queue can sustain: each wave
     parks ~100k flows on 20 distinct client→engine→media paths at one
-    simulated instant.  This is the scenario the two structural
-    optimisations exist for — hierarchical aggregation collapses each solve
-    to O(distinct paths) rows, and the completion batches (tens of
-    thousands of triggered events at one instant) run on the calendar-queue
-    scheduler.  ``groups`` in the extras records the aggregation ratio.
+    simulated instant.  The solves run on the vectorized arena, and the
+    completion batches (tens of thousands of triggered events at one
+    instant) run on the calendar-queue scheduler.
     """
     waves, per_wave, tail = (2, 20_000, 120) if quick else (3, 100_000, 300)
     sim = Simulator(seed=23)
@@ -274,7 +272,7 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
     engines = [net.add_link(f"engine{i}.rx", 2.6 * GiB) for i in range(10)]
     media = [net.add_link(f"scm{i}", 5.5 * GiB) for i in range(10)]
     end_times: List[float] = []
-    peak = [0, 0]
+    peak = [0]
 
     # The path pattern repeats every 20 flows; reusing the 20 tuples keeps
     # the submission loop allocation-free (a tuple path passes through
@@ -299,8 +297,6 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
                 append(transfer(paths[i % 20], size, rate_cap=cap, name=wname))
             if net.active_flows > peak[0]:
                 peak[0] = net.active_flows
-            if net.active_groups > peak[1]:
-                peak[1] = net.active_groups
             result = yield sim.all_of(done)
             for event in result.events:
                 end_times.append(event.value.end_time)
@@ -323,7 +319,6 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
             "waves": waves,
             "flows_per_wave": per_wave,
             "peak_concurrent_flows": peak[0],
-            "groups": peak[1],
             "solves": net.solver_runs,
             "changes": net.flow_changes,
             "scheduler_switches": sim.scheduler_switches,
@@ -340,7 +335,7 @@ def _flow_storm_100k_bulk(quick: bool) -> ScenarioResult:
     is contractually bit-identical to sequential admission, so this
     scenario's digest must equal ``flow_storm_100k``'s — the wall-time
     gap between the two is purely the per-flow admission overhead
-    (name interning, advance/recompute checks, group lookups) that the
+    (name interning, advance/recompute checks, route lookups) that the
     batch path hoists out of the loop.
     """
     waves, per_wave, tail = (2, 20_000, 120) if quick else (3, 100_000, 300)
@@ -351,7 +346,7 @@ def _flow_storm_100k_bulk(quick: bool) -> ScenarioResult:
     engines = [net.add_link(f"engine{i}.rx", 2.6 * GiB) for i in range(10)]
     media = [net.add_link(f"scm{i}", 5.5 * GiB) for i in range(10)]
     end_times: List[float] = []
-    peak = [0, 0]
+    peak = [0]
 
     paths = [
         (clients[i % 20], rails[i % 4], engines[i % 10], media[i % 10], media[i % 10])
@@ -372,8 +367,6 @@ def _flow_storm_100k_bulk(quick: bool) -> ScenarioResult:
             done = net.admit_flows(specs, name=f"s{wave}")
             if net.active_flows > peak[0]:
                 peak[0] = net.active_flows
-            if net.active_groups > peak[1]:
-                peak[1] = net.active_groups
             result = yield sim.all_of(done)
             for event in result.events:
                 end_times.append(event.value.end_time)
@@ -396,7 +389,6 @@ def _flow_storm_100k_bulk(quick: bool) -> ScenarioResult:
             "waves": waves,
             "flows_per_wave": per_wave,
             "peak_concurrent_flows": peak[0],
-            "groups": peak[1],
             "solves": net.solver_runs,
             "changes": net.flow_changes,
             "scheduler_switches": sim.scheduler_switches,

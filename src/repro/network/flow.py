@@ -29,19 +29,19 @@ Performance notes (the kernel fast path, see ``repro bench``):
   left untouched.  Within a component the arithmetic is the exact
   water-filling recurrence — results are bit-identical to the reference
   algorithm (see ``tests/network/test_flow_reference.py``).
-* **Hierarchical flow aggregation.**  Flows sharing an identical link path
-  and rate cap are coalesced into one :class:`FlowGroup`, and the solver
-  operates on groups instead of flows: the dominant NWP pattern — N
-  synchronised ensemble writers on the same client→engine path — costs
-  O(distinct paths) solver rows instead of O(N).  The coalescing is exact,
-  not approximate: same-group flows have bitwise-identical per-round bounds
-  (the same minimum over the same link shares and cap), so the flat solver
-  fixes them in the same round at the same rate; the grouped solver fixes
-  the group once and replays each link's per-member capacity debits as the
-  identical subtract/clamp chain (count-for-count), making every completion
-  time bit-identical to the flat solve (see
-  ``tests/network/test_flow_aggregation.py``).  ``aggregate=False`` or
-  ``REPRO_FLAT_SOLVER=1`` pins the flat per-flow solver.
+* **One flat kernel per mode.**  The scalar mode solves with
+  :meth:`FlowNetwork._compute_rates` and the vector mode with
+  :meth:`FlowNetwork._solve_vector`, both per flow.  Coalescing flows that
+  share a (path, rate cap) into one solver row was tried and removed: in
+  the Field I/O contention regime (fig4, ~11 flows per scope) such groups
+  merge almost nothing (10.6 groups per 11.3 flows), the grouped scalar
+  kernel cost 115 µs per solve against 65 µs flat, and the per-transfer
+  group upkeep was ~4% of that workload's profile; in the vector regime
+  the two kernels were within noise.  What remains is per *distinct path*
+  and costs one dict lookup per transfer: a cached :class:`_Route` holds
+  the path's distinct links with their multiplicities (the scalar kernel
+  initialises and bounds over those, debiting per occurrence) and its
+  link-index column (what the arena copies in).
 * **Vectorized solving.**  Above ``_VEC_ON`` concurrent flows the network
   migrates its hot state into a compact numpy arena: per-flow
   remaining/rate/deadline arrays are kept dense by swap-deleting completed
@@ -73,7 +73,7 @@ import numpy as np
 from repro.simulation.core import Simulator
 from repro.simulation.events import Event
 
-__all__ = ["Link", "Flow", "FlowGroup", "FlowNetwork"]
+__all__ = ["Link", "Flow", "FlowNetwork"]
 
 #: Flows with fewer remaining bytes than this are considered complete.
 #: Well below one byte, comfortably above double-precision noise for the
@@ -98,11 +98,6 @@ _VEC_SOLVE_MIN = 40
 def _env_forces_scalar() -> bool:
     """True when ``REPRO_SCALAR_SOLVER`` requests the pure-Python kernel."""
     return os.environ.get("REPRO_SCALAR_SOLVER", "") not in ("", "0")
-
-
-def _env_forces_flat() -> bool:
-    """True when ``REPRO_FLAT_SOLVER`` disables hierarchical aggregation."""
-    return os.environ.get("REPRO_FLAT_SOLVER", "") not in ("", "0")
 
 
 #: C-level sort key for completion ordering (hot at 100k-flow batches).
@@ -186,45 +181,26 @@ class Link:
         return f"<Link {self.name!r} cap={self.capacity:.3g} B/s {len(self.flows)} flows>"
 
 
-class FlowGroup:
-    """All in-flight flows sharing one exact (path, rate_cap) signature.
+class _Route:
+    """Per-distinct-path data shared by every flow on that path.
 
-    Same-group flows are indistinguishable to the water-filling solver —
-    each round they see the same link shares and the same cap, so they
-    carry bitwise-identical bounds and always fix together at the round
-    minimum.  The solver therefore works on groups (one row, weight ``n``)
-    and fans the result back out to the members.
-
-    The grouping key is the exact tuple of link indices, multiplicity and
-    order included; path-less (rate-cap-only) flows get a singleton group
-    each, because they are isolated components that may be solved in
-    different scopes and so cannot be assumed to share a rate.
-
-    ``gid`` is the group's row in the vectorized group arena while vector
-    mode is active (-1 otherwise).
+    ``occ`` lists the path's distinct links with their multiplicities (a
+    write-amplified path lists one link twice); the scalar kernel and the
+    link-membership upkeep walk it instead of the raw path.  ``idx`` is the
+    path as link indices, the column the vector arena copies in.  ``live``
+    counts this path's flows in the arena and drives the link-link
+    adjacency, which exists only in vector mode.
     """
 
-    __slots__ = ("key", "path", "occ_items", "rate_cap", "n", "gid", "_bound")
+    __slots__ = ("occ", "idx", "live")
 
-    def __init__(self, key, path: Tuple["Link", ...], rate_cap: float) -> None:
-        self.key = key
-        self.path = path
-        #: Distinct links of the path with their multiplicities, computed
-        #: once per group so member admission/retirement does per-link dict
-        #: writes without re-deriving multiplicity per flow.
+    def __init__(self, path: Tuple["Link", ...]) -> None:
         counts: Dict["Link", int] = {}
         for link in path:
             counts[link] = counts.get(link, 0) + 1
-        self.occ_items: Tuple[Tuple["Link", int], ...] = tuple(counts.items())
-        self.rate_cap = rate_cap
-        #: Number of active member flows.
-        self.n = 0
-        self.gid = -1
-        # Per-round water-filling bound (scratch, valid within one round).
-        self._bound = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<FlowGroup n={self.n} cap={self.rate_cap:.3g} key={self.key!r}>"
+        self.occ: Tuple[Tuple["Link", int], ...] = tuple(counts.items())
+        self.idx: List[int] = [link.idx for link in path]
+        self.live = 0
 
 
 class Flow:
@@ -249,9 +225,9 @@ class Flow:
         # Completion event; cleared (None) once it fires so a finished
         # flow and its event are not a reference cycle (see _on_wake).
         "done",
-        # The (path, rate_cap) aggregation group this flow belongs to while
-        # active; None before start and after completion.
-        "group",
+        # The :class:`_Route` of this flow's path, set at admission (None
+        # for zero-byte flows, which never become active).
+        "route",
         # Arena row while the vector arena holds this flow; -1 when the
         # scalar attributes are authoritative.
         "pos",
@@ -281,7 +257,7 @@ class Flow:
         self.start_time: float = math.nan
         self.end_time: Optional[float] = None
         self.done = done
-        self.group: Optional[FlowGroup] = None
+        self.route: Optional[_Route] = None
         self.pos = -1
         self._net: Optional["FlowNetwork"] = None
         self._rem = float(size)
@@ -350,28 +326,19 @@ class FlowNetwork:
     ``REPRO_SCALAR_SOLVER=1`` environment escape hatch), ``"vector"`` pins
     the arena from the first flow (used by the equivalence tests).
 
-    ``aggregate`` selects hierarchical flow aggregation (see the module
-    docstring): True (default) solves per :class:`FlowGroup`, False (or
-    ``REPRO_FLAT_SOLVER=1``) solves per flow.  Group bookkeeping is
-    maintained either way — only the solver kernel differs.  All solver and
-    aggregation modes are bit-identical.
+    All solver modes are bit-identical.
     """
 
-    def __init__(
-        self, sim: Simulator, solver: str = "auto", aggregate: bool = True
-    ) -> None:
+    def __init__(self, sim: Simulator, solver: str = "auto") -> None:
         if solver not in ("auto", "scalar", "vector"):
             raise ValueError(f"unknown solver mode {solver!r}")
         if _env_forces_scalar():
             solver = "scalar"
-        if _env_forces_flat():
-            aggregate = False
         self.sim = sim
         self.solver = solver
-        self.aggregate = aggregate
-        #: Active aggregation groups keyed by exact (path indices, cap)
-        #: signature (or flow id for singleton path-less groups).
-        self._groups: Dict[object, FlowGroup] = {}
+        #: One :class:`_Route` per distinct path tuple ever transferred on
+        #: (bounded by the topology's distinct paths).
+        self._routes: Dict[Tuple[Link, ...], _Route] = {}
         #: Live path-less (rate-cap-only) flows; lets the vector scoper
         #: prove full coverage without gathering the whole arena.
         self._pathless_active = 0
@@ -430,32 +397,17 @@ class FlowNetwork:
         self._occ_t = np.zeros((4, 0), dtype=np.int64)
         self._stride = 4
         self._pad = 0
-        #: Link-link co-traversal adjacency: ``_adjb[a, b]`` is True when
-        #: some live arena flow's path visits both links.  Every flow's
-        #: path forms a clique here, so connected components of this tiny
-        #: (#links x #links) graph match the flow-side components exactly —
-        #: scoping BFS runs on it instead of re-gathering every flow column
-        #: per round.  ``_pairs`` holds the per-pair flow counts (keyed by
-        #: the sorted index pair) so the bool matrix is touched only on
-        #: 0 <-> 1 transitions.
+        #: Link-link co-traversal adjacency, kept only while the arena is
+        #: active: ``_adjb[a, b]`` is True when some arena flow's path
+        #: visits both links.  Every flow's path forms a clique here, so
+        #: connected components of this tiny (#links x #links) graph match
+        #: the flow-side components exactly — scoping BFS runs on it
+        #: instead of re-gathering every flow column per round.  ``_pairs``
+        #: counts the distinct live paths per link pair (keyed by the
+        #: sorted index pair), so the bool matrix is touched only when a
+        #: path's arena population goes 0 <-> 1.
         self._adjb = np.zeros((0, 0), dtype=bool)
         self._pairs: Dict[Tuple[int, int], int] = {}
-        # -- group arena (rows [0, _ng); freed rows are recycled) ----------
-        #: Per-flow group row (int64, parallel to the flow arena columns).
-        self._gid_v = np.zeros(0, dtype=np.int64)
-        self._ng = 0
-        self._g_free: List[int] = []
-        #: Member counts as float64 — used directly as bincount weights;
-        #: exact for any realistic population (integers < 2**53).
-        self._g_n = np.zeros(0)
-        self._g_cap = np.zeros(0)
-        #: Rate of every member of the group as of the last solve that
-        #: touched it.  Invariant: correct for *all* active groups after
-        #: every solve (scoped solves leave untouched components' rates
-        #: unchanged by construction), so a full solve may scatter
-        #: ``_g_rate[gid_v]`` across the whole flow arena.
-        self._g_rate = np.zeros(0)
-        self._g_occ_t = np.zeros((4, 0), dtype=np.int64)
         # -- solver scratch (reused across solves; sized on demand) -------
         self._sc_flat_i = np.zeros(0, dtype=np.int64)  # (stride+1, n) indices
         self._sc_flat_f = np.zeros(0)  # (stride+1, n) gathered shares
@@ -468,7 +420,6 @@ class FlowNetwork:
         self._sc_folded = np.zeros(0)
         self._sc_flow_f = np.zeros(0)  # per-flow float scratch (bounds, ...)
         self._sc_flow_f2 = np.zeros(0)  # per-flow float scratch (rates, ...)
-        self._sc_gw = np.zeros(0)  # per-group weight scratch (scoped solves)
         self._sc_flow_b = np.zeros(0, dtype=bool)  # per-flow bool scratch
         self._sc_ar = np.zeros(0, dtype=np.int64)  # 0..n arange
 
@@ -486,12 +437,6 @@ class FlowNetwork:
             grown[: self._cap_a.size] = self._cap_a
             self._cap_a = grown
         self._cap_a[idx] = link.capacity
-        if idx >= self._adjb.shape[0]:
-            grown = max(64, 2 * self._adjb.shape[0])
-            adj = np.zeros((grown, grown), dtype=bool)
-            old = self._adjb.shape[0]
-            adj[:old, :old] = self._adjb
-            self._adjb = adj
         if capacity_fn is not None:
             self._fn_links.append(link)
         if self._vector:
@@ -500,8 +445,12 @@ class FlowNetwork:
             # (their old value is exactly this link's index).
             live = self._occ_t[:, : self._n_live]
             live[live == self._pad] = idx + 1
-            glive = self._g_occ_t[:, : self._ng]
-            glive[glive == self._pad] = idx + 1
+            if idx >= self._adjb.shape[0]:
+                grown = max(64, 2 * self._adjb.shape[0])
+                adj = np.zeros((grown, grown), dtype=bool)
+                old = self._adjb.shape[0]
+                adj[:old, :old] = self._adjb
+                self._adjb = adj
         self._pad = idx + 1
         return link
 
@@ -540,7 +489,7 @@ class FlowNetwork:
             raise ValueError("a flow needs a non-empty path or a finite rate cap")
         # The body below is the per-flow admission fast path: guards are
         # inlined (method calls cost real time at 100k flows/instant) and
-        # the per-link multiplicity work is done once per *group*.
+        # the per-link multiplicity work is done once per distinct path.
         if now > self._last_advance:
             self._advance_to_now()
         self.flow_changes += 1
@@ -550,26 +499,15 @@ class FlowNetwork:
         # both _scope_scalar and _scope_vector expand from a dirty flow's
         # own path, so arrivals do not need per-link dirty marks.
         self._dirty_flows[flow] = None
-        if tpath:
-            # Links hash by identity, so the link tuple itself is the path
-            # key — no per-flow index materialisation.
-            key = (tpath, flow.rate_cap)
-        else:
-            key = flow.fid  # singleton group (see FlowGroup docstring)
-        groups = self._groups
-        group = groups.get(key)
-        if group is None:
-            groups[key] = group = FlowGroup(key, tpath, flow.rate_cap)
-            if len(tpath) > 1:
-                self._register_pairs(group)
-        for link, mult in group.occ_items:
+        # Links hash by identity, so the link tuple itself is the route key.
+        route = self._routes.get(tpath)
+        if route is None:
+            self._routes[tpath] = route = _Route(tpath)
+        flow.route = route
+        for link, mult in route.occ:
             link.flows[flow] = mult
         if not tpath:
             self._pathless_active += 1
-        group.n += 1
-        flow.group = group
-        if group.gid >= 0:
-            self._g_n[group.gid] = group.n
         if not self._recompute_pending:
             self._recompute_pending = True
             self.sim.request_flush(self._flush_recompute)
@@ -589,8 +527,8 @@ class FlowNetwork:
         order.
 
         Bit-identical to calling :meth:`transfer` once per spec in the
-        same order: fid assignment, ``_active``/link insertion orders,
-        group creation order and the single end-of-instant solve all match
+        same order: fid assignment, ``_active``/link insertion orders and
+        the single end-of-instant solve all match
         the sequential loop (same-instant batching already coalesces the
         solves — what this call strips is the per-flow method dispatch,
         argument validation re-entry, flush arming and name interning,
@@ -602,8 +540,8 @@ class FlowNetwork:
         fids = self._fid
         active = self._active
         dirty_flows = self._dirty_flows
-        groups = self._groups
-        groups_get = groups.get
+        routes = self._routes
+        routes_get = routes.get
         events: List[Event] = []
         append = events.append
         # transfer() only advances progress when admitting a nonzero-size
@@ -653,23 +591,14 @@ class FlowNetwork:
             flow._net = self
             active[flow] = None
             dirty_flows[flow] = None
-            if tpath:
-                key = (tpath, flow.rate_cap)
-            else:
-                key = flow.fid  # singleton group (see FlowGroup docstring)
-            group = groups_get(key)
-            if group is None:
-                groups[key] = group = FlowGroup(key, tpath, flow.rate_cap)
-                if len(tpath) > 1:
-                    self._register_pairs(group)
-            for link, mult in group.occ_items:
+            route = routes_get(tpath)
+            if route is None:
+                routes[tpath] = route = _Route(tpath)
+            flow.route = route
+            for link, mult in route.occ:
                 link.flows[flow] = mult
             if not tpath:
                 self._pathless_active += 1
-            group.n += 1
-            flow.group = group
-            if group.gid >= 0:
-                self._g_n[group.gid] = group.n
         if changes:
             self.flow_changes += changes
             if not self._recompute_pending:
@@ -678,10 +607,10 @@ class FlowNetwork:
         return events
 
     def evict_flows(self, flows: Sequence[Flow]) -> int:
-        """Cancel a batch of in-flight flows in one group/arena operation.
+        """Cancel a batch of in-flight flows in one arena operation.
 
         Mirrors a completion wave (:meth:`_on_wake`): each evicted flow
-        leaves its links and aggregation group, its ``end_time`` is
+        leaves its links (and the arena), its ``end_time`` is
         stamped with the current instant, and its done event succeeds
         with the (partially transferred) flow — callers distinguish an
         eviction from a completion by ``flow.remaining > 0``.  Flows not
@@ -694,40 +623,32 @@ class FlowNetwork:
         now = self.sim.now
         active = self._active
         # De-duplicated, order-preserving filter: double-listing a flow
-        # must not double-decrement its group.
+        # must not evict it twice.
         victims = list(dict.fromkeys(f for f in flows if f in active))
         if not victims:
             return 0
         dirty = self._dirty
-        groups = self._groups
         batch = self._vector and len(victims) >= 64
         touched = {}
         for flow in victims:
-            touched[flow.group] = None
-        for group in touched:
-            for link, _ in group.occ_items:
+            touched[flow.route] = None
+        for route in touched:
+            for link, _ in route.occ:
                 dirty[link] = None
         rem_v = self._rem_v
         done_pos: List[int] = []
         for flow in victims:
             del active[flow]
-            group = flow.group
-            for link, _ in group.occ_items:
+            route = flow.route
+            for link, _ in route.occ:
                 link.flows.pop(flow, None)
-            if not group.path:
+            if not flow.path:
                 self._pathless_active -= 1
-            group.n -= 1
-            if group.n == 0:
-                del groups[group.key]
-                if len(group.path) > 1:
-                    self._unregister_pairs(group)
-                if group.gid >= 0:
-                    self._g_retire(group)
-            elif group.gid >= 0:
-                self._g_n[group.gid] = group.n
-            flow.group = None
             pos = flow.pos
             if pos >= 0:
+                route.live -= 1
+                if not route.live:
+                    self._unregister_pairs(route)
                 # Preserve the byte count the flow was cancelled at — the
                 # arena column is about to be recycled.
                 flow._rem = float(rem_v[pos])
@@ -765,22 +686,17 @@ class FlowNetwork:
         """
         return list(self._active)
 
-    @property
-    def active_groups(self) -> int:
-        """Number of distinct (path, rate_cap) aggregation groups in flight."""
-        return len(self._groups)
+    # -- co-traversal adjacency (vector mode; per-route 0 <-> 1 transitions) -
+    def _register_pairs(self, route: _Route) -> None:
+        """Mark the route's path clique in the link-link adjacency.
 
-    # -- co-traversal adjacency (maintained on group 0 <-> 1 transitions) ----
-    def _register_pairs(self, group: FlowGroup) -> None:
-        """Mark the group's path clique in the link-link adjacency.
-
-        ``_pairs`` counts live *groups* (not flows) per link pair, so the
-        bool matrix is touched only when a distinct path appears or
-        disappears — O(distinct paths) updates instead of O(flows).
+        ``_pairs`` counts live *routes* (not flows) per link pair, so the
+        bool matrix is touched only when a distinct path enters or leaves
+        the arena — O(distinct paths) updates instead of O(flows).
         """
         pairs = self._pairs
         adjb = self._adjb
-        idxs = [link.idx for link in group.path]
+        idxs = route.idx
         for i in range(len(idxs) - 1):
             a = idxs[i]
             for b in idxs[i + 1 :]:
@@ -791,10 +707,10 @@ class FlowNetwork:
                     adjb[b, a] = True
                 pairs[key] = seen + 1
 
-    def _unregister_pairs(self, group: FlowGroup) -> None:
+    def _unregister_pairs(self, route: _Route) -> None:
         pairs = self._pairs
         adjb = self._adjb
-        idxs = [link.idx for link in group.path]
+        idxs = route.idx
         for i in range(len(idxs) - 1):
             a = idxs[i]
             for b in idxs[i + 1 :]:
@@ -818,11 +734,6 @@ class FlowNetwork:
             )
             occ[: self._stride] = self._occ_t
             self._occ_t = occ
-            gocc = np.full(
-                (pathlen, self._g_occ_t.shape[1]), self._pad, dtype=np.int64
-            )
-            gocc[: self._stride] = self._g_occ_t
-            self._g_occ_t = gocc
             self._stride = pathlen
         if n > self._rem_v.size:
             grown = max(64, 2 * self._rem_v.size, n)
@@ -831,68 +742,20 @@ class FlowNetwork:
                 new = np.zeros(grown)
                 new[: old.size] = old
                 setattr(self, attr, new)
-            gid = np.full(grown, -1, dtype=np.int64)
-            gid[: self._gid_v.size] = self._gid_v
-            self._gid_v = gid
             occ = np.full((self._stride, grown), self._pad, dtype=np.int64)
             occ[:, : self._occ_t.shape[1]] = self._occ_t
             self._occ_t = occ
             self._flows_pos.extend([None] * (grown - len(self._flows_pos)))
 
-    def _g_ingest(self, group: FlowGroup, rate: float) -> None:
-        """Give ``group`` a row in the group arena (recycling freed rows).
-
-        ``rate`` seeds ``_g_rate``: when entering vector mode mid-run the
-        members already carry a solved rate (identical across the group),
-        and the invariant on ``_g_rate`` must hold before the next scoped
-        solve's full-arena scatter.
-        """
-        free = self._g_free
-        if free:
-            gid = free.pop()
-        else:
-            gid = self._ng
-            self._ng = gid + 1
-            if self._ng > self._g_n.size:
-                grown = max(64, 2 * self._g_n.size, self._ng)
-                for attr in ("_g_n", "_g_cap", "_g_rate"):
-                    old = getattr(self, attr)
-                    new = np.zeros(grown)
-                    new[: old.size] = old
-                    setattr(self, attr, new)
-                gocc = np.full((self._stride, grown), self._pad, dtype=np.int64)
-                gocc[:, : self._g_occ_t.shape[1]] = self._g_occ_t
-                self._g_occ_t = gocc
-        group.gid = gid
-        self._g_n[gid] = group.n
-        self._g_cap[gid] = group.rate_cap
-        self._g_rate[gid] = rate
-        column = self._g_occ_t[:, gid]
-        length = len(group.path)
-        if length:
-            column[:length] = [link.idx for link in group.path]
-        column[length:] = self._pad
-
-    def _g_retire(self, group: FlowGroup) -> None:
-        """Neutralise an emptied group's arena row and recycle it.
-
-        The row stays inside ``[0, _ng)`` (no swap-compaction — that would
-        invalidate every member's ``_gid_v`` entry), but all-pad occupancy,
-        weight 0 and cap +inf make it inert: bound +inf, never fixed, zero
-        contribution to link counts, so a full-arena grouped solve can run
-        over ``[0, _ng)`` without masking.
-        """
-        gid = group.gid
-        self._g_n[gid] = 0.0
-        self._g_cap[gid] = _INF
-        self._g_occ_t[:, gid] = self._pad
-        self._g_free.append(gid)
-        group.gid = -1
-
     def _ingest(self, flow: Flow) -> None:
         """Append a flow to the arena (column ``_n_live``)."""
+        route = flow.route
+        if not route.live:
+            self._register_pairs(route)
+        route.live += 1
+        length = len(route.idx)
         pos = self._n_live
-        self._ensure_capacity(pos + 1, len(flow.path))
+        self._ensure_capacity(pos + 1, length)
         self._n_live = pos + 1
         self._flows_pos[pos] = flow
         flow.pos = pos
@@ -900,14 +763,9 @@ class FlowNetwork:
         self._rate_v[pos] = flow._rate
         self._rcap_v[pos] = flow.rate_cap
         column = self._occ_t[:, pos]
-        length = len(flow.path)
         if length:
-            column[:length] = [link.idx for link in flow.path]
+            column[:length] = route.idx
         column[length:] = self._pad
-        group = flow.group
-        if group.gid < 0:
-            self._g_ingest(group, flow._rate)
-        self._gid_v[pos] = group.gid
 
     def _ingest_batch(self, flows: List[Flow]) -> None:
         """Append many flows to the arena with whole-array writes.
@@ -915,36 +773,34 @@ class FlowNetwork:
         A synchronised wave admits its entire population at one flush;
         per-flow :meth:`_ingest` pays ~6 numpy scalar writes each, while
         here the per-flow Python shrinks to position bookkeeping and the
-        arrays land via bulk converts.  Occupancy columns are copied from
-        the group arena — a member's path column is its group's by
-        definition — so path index lists are never re-derived per flow.
+        arrays land via bulk converts.  Occupancy columns are built once
+        per distinct route in the batch and gathered out to the flows, so
+        path index lists are never re-derived per flow.
         """
-        m = len(flows)
         pos0 = self._n_live
-        maxlen = 0
-        for flow in flows:
-            length = len(flow.path)
-            if length > maxlen:
-                maxlen = length
-        self._ensure_capacity(pos0 + m, maxlen)
-        flows_pos = self._flows_pos
-        pos = pos0
-        for flow in flows:
-            group = flow.group
-            if group.gid < 0:
-                self._g_ingest(group, flow._rate)
-            flows_pos[pos] = flow
+        end = pos0 + len(flows)
+        routes = [flow.route for flow in flows]
+        column = {route: j for j, route in enumerate(dict.fromkeys(routes))}
+        column_of = np.fromiter(
+            map(column.__getitem__, routes), dtype=np.int64, count=len(routes)
+        )
+        members = np.bincount(column_of, minlength=len(column)).tolist()
+        for route, j in column.items():
+            if not route.live:
+                self._register_pairs(route)
+            route.live += members[j]
+        self._ensure_capacity(end, max(len(route.idx) for route in column))
+        self._flows_pos[pos0:end] = flows
+        for pos, flow in enumerate(flows, pos0):
             flow.pos = pos
-            pos += 1
-        end = pos0 + m
         self._rem_v[pos0:end] = [flow._rem for flow in flows]
         self._rate_v[pos0:end] = [flow._rate for flow in flows]
         self._rcap_v[pos0:end] = [flow.rate_cap for flow in flows]
-        gids = np.fromiter(
-            (flow.group.gid for flow in flows), dtype=np.int64, count=m
-        )
-        self._gid_v[pos0:end] = gids
-        self._occ_t[:, pos0:end] = self._g_occ_t.take(gids, axis=1)
+        columns = np.full((self._stride, len(column)), self._pad, dtype=np.int64)
+        for route, j in column.items():
+            if route.idx:
+                columns[: len(route.idx), j] = route.idx
+        self._occ_t[:, pos0:end] = columns.take(column_of, axis=1)
         self._n_live = end
 
     def _evict(self, flow: Flow) -> None:
@@ -958,7 +814,6 @@ class FlowNetwork:
             self._rem_v[pos] = self._rem_v[last]
             self._rate_v[pos] = self._rate_v[last]
             self._rcap_v[pos] = self._rcap_v[last]
-            self._gid_v[pos] = self._gid_v[last]
             self._occ_t[:, pos] = self._occ_t[:, last]
         self._flows_pos[last] = None
         self._n_live = last
@@ -981,7 +836,7 @@ class FlowNetwork:
         keep[done_pos] = False
         idx = keep.nonzero()[0]
         m = idx.size
-        for name in ("_rem_v", "_rate_v", "_rcap_v", "_gid_v"):
+        for name in ("_rem_v", "_rate_v", "_rcap_v"):
             a = getattr(self, name)
             a[:m] = a[idx]
         occ = self._occ_t
@@ -1000,14 +855,13 @@ class FlowNetwork:
         self._n_live = m
 
     def _enter_vector(self) -> None:
-        # The co-traversal adjacency (``_pairs``/``_adjb``) is maintained
-        # continuously on group transitions, so it is already correct here.
+        # The co-traversal adjacency lives only in vector mode: start it
+        # empty and let ingestion register each distinct path once.
         self._n_live = 0
         self._pad = len(self._link_list)
-        self._ng = 0
-        self._g_free.clear()
-        for group in self._groups.values():
-            group.gid = -1
+        size = max(64, self._pad)
+        self._adjb = np.zeros((size, size), dtype=bool)
+        self._pairs = {}
         if len(self._active) >= 64:
             self._ingest_batch(list(self._active))
         else:
@@ -1022,6 +876,10 @@ class FlowNetwork:
         flows_pos = self._flows_pos
         for flow in self._active:
             pos = flow.pos
+            if pos < 0:
+                # Arrived this instant, before the flush could ingest it:
+                # its scalar attributes are still authoritative.
+                continue
             flow._rem = float(rem[pos])
             flow._rate = float(rate[pos])
             # Same on-demand projection as Flow.deadline in vector mode.
@@ -1032,10 +890,9 @@ class FlowNetwork:
             )
             flow.pos = -1
             flows_pos[pos] = None
-        for group in self._groups.values():
-            group.gid = -1
-        self._ng = 0
-        self._g_free.clear()
+            flow.route.live = 0
+        self._adjb = np.zeros((0, 0), dtype=bool)
+        self._pairs = {}
         self._n_live = 0
         self._vector = False
         self.mode_switches += 1
@@ -1082,37 +939,18 @@ class FlowNetwork:
                         self._ingest(flow)
                 scope = self._scope_vector(dirty, dirty_flows)
                 if scope is None or scope.size >= _VEC_SOLVE_MIN:
-                    # Aggregation only pays when groups actually coalesce;
-                    # with near-singleton groups the flat kernel is cheaper.
-                    # Free choice: both kernels are bit-identical.
-                    if self.aggregate and 2 * len(self._groups) <= len(
-                        self._active
-                    ):
-                        self._solve_vector_grouped(scope)
-                    else:
-                        self._solve_vector(scope)
+                    self._solve_vector(scope)
                 elif scope.size:
                     # Tiny perturbed component: the scalar kernel wins even
-                    # with the arena active.  The flat kernel is used for
-                    # both aggregation settings (its result is bit-identical
-                    # to the grouped one); only the _g_rate upkeep differs.
+                    # with the arena active (the two are bit-identical).
                     flows_pos = self._flows_pos
                     flows = [flows_pos[pos] for pos in scope]
                     self._compute_rates(flows)
                     rate = self._rate_v
-                    gid_v = self._gid_v
-                    g_rate = self._g_rate
                     for flow in flows:
-                        r = flow._rate
-                        rate[flow.pos] = r
-                        g_rate[gid_v[flow.pos]] = r
+                        rate[flow.pos] = flow._rate
             else:
-                scope = self._scope_scalar(dirty, dirty_flows)
-                if scope:
-                    if self.aggregate:
-                        self._compute_rates_grouped(scope)
-                    else:
-                        self._compute_rates(scope)
+                self._compute_rates(self._scope_scalar(dirty, dirty_flows))
         self._refresh_deadlines_and_arm()
 
     def _advance_to_now(self) -> None:
@@ -1143,36 +981,35 @@ class FlowNetwork:
         """Flows in the connected component(s) of the dirty links.
 
         A batch of arrivals/departures can only change rates of flows
-        sharing a link with a perturbed flow, transitively.  The returned
-        list preserves ``_active`` insertion order so the scoped
-        water-filling pass fixes flows in exactly the order a full pass
-        would.
+        sharing a link with a perturbed flow, transitively.  The list is in
+        discovery order: :meth:`_compute_rates` is order-independent (every
+        flow fixed in a round gets the same ``minimum``, and a link's
+        debits are that many identical subtract/clamp steps), so no pass
+        back through ``_active`` order is needed.
         """
         active = self._active
         seen_links = set(dirty)
-        seen_flows = set(flow for flow in dirty_flows if flow in active)
+        seen_flows = dict.fromkeys(flow for flow in dirty_flows if flow in active)
         n_active = len(active)
         queue: List[Link] = list(dirty)
         for flow in seen_flows:
-            for link in flow.path:
+            for link, _ in flow.route.occ:
                 if link not in seen_links:
                     seen_links.add(link)
                     queue.append(link)
         pop = queue.pop
         while queue:
             if len(seen_flows) >= n_active:
-                return list(active)
+                break
             link = pop()
             for flow in link.flows:
                 if flow not in seen_flows:
-                    seen_flows.add(flow)
-                    for other in flow.path:
+                    seen_flows[flow] = None
+                    for other, _ in flow.route.occ:
                         if other not in seen_links:
                             seen_links.add(other)
                             queue.append(other)
-        if len(seen_flows) >= n_active:
-            return list(active)
-        return [flow for flow in active if flow in seen_flows]
+        return list(seen_flows)
 
     def _scope_vector(
         self, dirty: Dict[Link, None], dirty_flows: Dict[Flow, None]
@@ -1324,37 +1161,29 @@ class FlowNetwork:
             return
         active = self._active
         dirty = self._dirty
-        groups = self._groups
         # Above the threshold, arena columns are compacted in one vectorized
         # pass instead of one swap-delete per flow (see _evict_batch).
         batch = self._vector and len(finished) >= 64
-        # Dirty-marking is per *group*: a 100k-flow completion batch touches
+        # Dirty-marking is per *route*: a 100k-flow completion batch touches
         # the same handful of links, so mark each link once up front.
         touched = {}
         for flow in finished:
-            touched[flow.group] = None
-        for group in touched:
-            for link, _ in group.occ_items:
+            touched[flow.route] = None
+        for route in touched:
+            for link, _ in route.occ:
                 dirty[link] = None
         completed_bytes = self.completed_bytes
         for flow in finished:
             active.pop(flow, None)
-            group = flow.group
-            for link, _ in group.occ_items:
+            route = flow.route
+            for link, _ in route.occ:
                 link.flows.pop(flow, None)
-            if not group.path:
+            if not flow.path:
                 self._pathless_active -= 1
-            group.n -= 1
-            if group.n == 0:
-                del groups[group.key]
-                if len(group.path) > 1:
-                    self._unregister_pairs(group)
-                if group.gid >= 0:
-                    self._g_retire(group)
-            elif group.gid >= 0:
-                self._g_n[group.gid] = group.n
-            flow.group = None
             if flow.pos >= 0:
+                route.live -= 1
+                if not route.live:
+                    self._unregister_pairs(route)
                 if batch:
                     flow.pos = -1
                 else:
@@ -1398,6 +1227,10 @@ class FlowNetwork:
         the textbook water-filling algorithm, restricted to the perturbed
         component (``flows``) and evaluated with per-link running
         aggregates rather than per-recompute dicts.
+
+        Initialisation and bounds walk each path's distinct links
+        (:attr:`_Route.occ`); the capacity debit stays per occurrence.  The
+        result does not depend on the order of ``flows``.
         """
         if not flows:
             return
@@ -1420,13 +1253,18 @@ class FlowNetwork:
         epoch = self._epoch
         links: List[Link] = []
         for flow in flows:
-            for link in flow.path:
+            for link, mult in flow.route.occ:
                 if link._epoch != epoch:
                     link._epoch = epoch
-                    link._cap_left = link.effective_capacity(len(link.flows))
-                    link._n_unfixed = 0
+                    link._cap_left = (
+                        link.capacity
+                        if link.capacity_fn is None
+                        else link.effective_capacity(len(link.flows))
+                    )
+                    link._n_unfixed = mult
                     links.append(link)
-                link._n_unfixed += 1
+                else:
+                    link._n_unfixed += mult
 
         unfixed = flows
         while unfixed:
@@ -1437,7 +1275,7 @@ class FlowNetwork:
             minimum = _INF
             for flow in unfixed:
                 bound = flow.rate_cap
-                for link in flow.path:
+                for link, _ in flow.route.occ:
                     share = link._share
                     if share < bound:
                         bound = share
@@ -1460,91 +1298,6 @@ class FlowNetwork:
                         link._n_unfixed -= 1
                 else:
                     still_unfixed.append(flow)
-            unfixed = still_unfixed
-
-    def _compute_rates_grouped(self, flows: List[Flow]) -> None:
-        """Progressive filling over (path, cap) groups instead of flows.
-
-        Bit-identical to :meth:`_compute_rates` on the same scope:
-
-        * link init is the same per-member accounting (``_n_unfixed`` counts
-          member path occurrences), so every round's shares are the same
-          quotients;
-        * a group's bound is the exact expression every member would
-          compute — ``min(shares along the path, rate_cap)`` — so the round
-          minimum, the fix decisions and the assigned rates all coincide
-          with the flat pass (same-group flows always fix together there);
-        * the capacity debit replays one ``cap_left - minimum`` + clamp step
-          per fixed member per occurrence.  The flat pass interleaves these
-          steps across groups, but every step subtracts the same
-          non-negative ``minimum``, so the result depends only on the step
-          count per link — and once a clamp fires the value is pinned at
-          0.0 for the rest of the round (0.0 - m < 0 clamps back to 0.0),
-          which the early ``break`` below exploits.
-        """
-        if not flows:
-            return
-        self.solver_runs += 1
-        self._epoch += 1
-        epoch = self._epoch
-        links: List[Link] = []
-        buckets: Dict[FlowGroup, List[Flow]] = {}
-        for flow in flows:
-            if not flow.path:
-                # Path-less flows always run at exactly their cap; see
-                # :meth:`_compute_rates`.
-                flow._rate = flow.rate_cap
-                continue
-            group = flow.group
-            members = buckets.get(group)
-            if members is None:
-                buckets[group] = [flow]
-            else:
-                members.append(flow)
-            for link in flow.path:
-                if link._epoch != epoch:
-                    link._epoch = epoch
-                    link._cap_left = link.effective_capacity(len(link.flows))
-                    link._n_unfixed = 0
-                    links.append(link)
-                link._n_unfixed += 1
-
-        unfixed = list(buckets.items())
-        while unfixed:
-            for link in links:
-                n = link._n_unfixed
-                if n > 0:
-                    link._share = link._cap_left / n
-            minimum = _INF
-            for group, _ in unfixed:
-                bound = group.rate_cap
-                for link in group.path:
-                    share = link._share
-                    if share < bound:
-                        bound = share
-                group._bound = bound
-                if bound < minimum:
-                    minimum = bound
-            if minimum == _INF:  # pragma: no cover - guarded in transfer()
-                raise AssertionError("unbounded flow rate: no cap and empty path")
-            threshold = minimum * (1.0 + 1e-12)
-            still_unfixed: List[Tuple[FlowGroup, List[Flow]]] = []
-            for group, members in unfixed:
-                if group._bound <= threshold:
-                    for flow in members:
-                        flow._rate = minimum
-                    k = len(members)
-                    for link in group.path:
-                        left = link._cap_left
-                        for _ in range(k):
-                            left -= minimum
-                            if left < 0.0:
-                                left = 0.0
-                                break  # pinned at 0.0 for the round
-                        link._cap_left = left
-                        link._n_unfixed -= k
-                else:
-                    still_unfixed.append((group, members))
             unfixed = still_unfixed
 
     def _solve_scratch(self, rows: int, n: int, n_pad: int) -> None:
@@ -1698,136 +1451,3 @@ class FlowNetwork:
             np.maximum(folded, 0.0, out=cap_left)
         if scope is not None:
             self._rate_v[scope] = rates
-
-    def _solve_vector_grouped(self, fscope: Optional[np.ndarray]) -> None:
-        """Vectorized water-filling over aggregation groups.
-
-        ``fscope`` is the scoped flow columns (None for all live flows); the
-        working set is the corresponding *group* rows — O(distinct paths)
-        columns instead of O(flows).  The structure mirrors
-        :meth:`_solve_vector` exactly, with two weighted twists:
-
-        * link counts are member counts: a group column contributes its
-          weight ``w`` (member count) per path entry, via weighted
-          ``bincount``.  The weights are small integers held in float64, so
-          every sum is exact and the quotients ``cap_left / counts`` are the
-          identical divisions the flat solver performs.
-        * the per-round debit folds ``k = sum(w * multiplicity)`` identical
-          subtractions per link — the same count the flat solver would
-          execute across the group's members, so the reduceat fold replays
-          the identical exact chain.
-
-        A full solve (``fscope is None``) runs over every group row
-        ``[0, _ng)`` including retired (all-pad, weight-0, cap-inf) rows,
-        which are inert by construction; termination counts fixed *members*
-        against the scope's member total, so inert rows never stall the
-        loop.  Afterwards group rates fan out to flows through ``_gid_v``
-        (valid for the whole arena on a full solve by the ``_g_rate``
-        invariant).
-        """
-        self.solver_runs += 1
-        self.vector_solves += 1
-        stride = self._stride
-        rows = stride + 1
-        n_pad = self._pad + 1
-        pad = n_pad - 1
-        if fscope is None:
-            gscope = None
-            ng = self._ng
-        else:
-            gscope = np.unique(self._gid_v[fscope])
-            ng = gscope.size
-        self._solve_scratch(rows, ng, n_pad)
-        if self._sc_gw.size < ng:
-            self._sc_gw = np.empty(max(64, 2 * ng))
-        occT = self._sc_flat_i[: rows * ng].reshape(rows, ng)
-        if gscope is None:
-            occT[:stride] = self._g_occ_t[:, :ng]
-            w = self._g_n[:ng]
-        else:
-            self._g_occ_t.take(gscope, axis=1, out=occT[:stride])
-            w = self._sc_gw[:ng]
-            self._g_n.take(gscope, out=w)
-        np.add(self._sc_ar[:ng], n_pad, out=occT[stride])
-        counts = np.bincount(
-            occT[:stride].ravel(),
-            weights=np.broadcast_to(w, (stride, ng)).ravel(),
-            minlength=n_pad,
-        )
-        share_ext = self._sc_share[: n_pad + ng]
-        if gscope is None:
-            share_ext[n_pad:] = self._g_cap[:ng]
-        else:
-            self._g_cap.take(gscope, out=share_ext[n_pad:])
-        cap_left = self._sc_capleft[:n_pad]
-        cap_left[:pad] = self._cap_a[:pad]
-        cap_left[pad] = _INF
-        for link in self._fn_links:
-            if counts[link.idx]:
-                cap_left[link.idx] = link.effective_capacity(len(link.flows))
-        div = self._sc_div[:n_pad]
-        g = self._sc_flat_f[: rows * ng].reshape(rows, ng)
-        bounds = self._sc_flow_f[:ng]
-        folded = self._sc_folded[:n_pad]
-        offsets = self._sc_off[:n_pad]
-        seg = self._sc_seg[:pad]
-        rates = self._g_rate[:ng] if gscope is None else self._sc_flow_f2[:ng]
-        if self._sc_flow_b.size < ng:
-            self._sc_flow_b = np.empty(max(64, 2 * ng), dtype=bool)
-        fixed = self._sc_flow_b[:ng]
-        total = float(np.add.reduce(w))
-        n_done = 0.0
-        if self._pathless_active:
-            # Pre-fix path-less groups at their cap, exactly like the flat
-            # solver.  The w > 0 filter keeps retired (all-pad, weight-0,
-            # cap-inf) rows of a full solve unfixed and inert as before.
-            mask = (occT[0] == pad) if stride else np.ones(ng, dtype=bool)
-            ppos = (mask & (w > 0.0)).nonzero()[0]
-            if ppos.size:
-                rates[ppos] = share_ext[n_pad:][ppos]
-                occT[:, ppos] = pad
-                n_done = float(np.add.reduce(w[ppos]))
-        while n_done < total:
-            np.maximum(counts, 1, out=div)
-            np.divide(cap_left, div, out=share_ext[:n_pad])
-            share_ext.take(occT, out=g)
-            np.minimum.reduce(g, axis=0, out=bounds)
-            minimum = float(np.minimum.reduce(bounds))
-            if minimum == _INF:  # pragma: no cover - guarded in transfer()
-                raise AssertionError("unbounded flow rate: no cap and empty path")
-            np.less_equal(bounds, minimum * (1.0 + 1e-12), out=fixed)
-            fpos = fixed.nonzero()[0]
-            rates[fpos] = minimum
-            wf = w[fpos]
-            n_done += float(np.add.reduce(wf))
-            if n_done >= total:
-                break
-            cols = occT[:stride].take(fpos, axis=1)
-            kw = np.bincount(
-                cols.ravel(),
-                weights=np.broadcast_to(wf, (stride, fpos.size)).ravel(),
-                minlength=n_pad,
-            )
-            kw[pad] = 0.0  # path padding lands here; the sentinel never pays
-            np.subtract(counts, kw, out=counts)
-            occT[:, fpos] = pad
-            # Exact: kw holds small integer sums, so the int64 round-trip is
-            # lossless and seg/offsets match the flat solver's layout.
-            offsets[0] = 0
-            np.add(kw[:pad].astype(np.int64), 1, out=seg)
-            seg.cumsum(out=offsets[1:])
-            fold_len = int(offsets[pad]) + 1
-            if self._sc_fold.size < fold_len:
-                self._sc_fold = np.empty(max(1024, 2 * fold_len))
-            fold = self._sc_fold[:fold_len]
-            fold.fill(minimum)
-            fold[offsets] = cap_left
-            np.subtract.reduceat(fold, offsets, out=folded)
-            np.maximum(folded, 0.0, out=cap_left)
-        n = self._n_live
-        if gscope is None:
-            # rates wrote _g_rate[:ng] in place; fan out to every flow.
-            self._g_rate.take(self._gid_v[:n], out=self._rate_v[:n])
-        else:
-            self._g_rate[gscope] = rates
-            self._rate_v[fscope] = self._g_rate[self._gid_v[fscope]]

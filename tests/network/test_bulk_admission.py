@@ -1,8 +1,8 @@
 """Bulk admission/eviction: bit-identity with the sequential paths.
 
 ``admit_flows`` is contractually bit-identical to a loop of ``transfer``
-calls at the same instants — across every solver configuration (scalar and
-vector kernels, flat and aggregated solves).  These tests drive a mixed
+calls at the same instants — under both the scalar and the vector
+kernel.  These tests drive a mixed
 workload (shared paths, distinct rate caps, zero-byte flows, pathless
 capped flows, overlapping waves mid-flight) through both admission styles
 and compare the full hex-exact outcome.  ``evict_flows`` has the analogous
@@ -16,13 +16,8 @@ import pytest
 from repro.network.flow import FlowNetwork
 from repro.simulation import Simulator
 
-#: Every solver path: (solver, aggregate).
-SOLVER_GRID = [
-    ("scalar", False),
-    ("scalar", True),
-    ("vector", False),
-    ("vector", True),
-]
+#: Every solver path.
+SOLVERS = ["scalar", "vector"]
 
 INF = math.inf
 
@@ -46,9 +41,9 @@ def _specs(links, wave, n):
     return specs
 
 
-def _run(bulk, solver, aggregate, n_per_wave=120, evict_at=None, evict_each=False):
+def _run(bulk, solver, n_per_wave=120, evict_at=None, evict_each=False):
     sim = Simulator(seed=5)
-    net = FlowNetwork(sim, solver=solver, aggregate=aggregate)
+    net = FlowNetwork(sim, solver=solver)
     a = [net.add_link(f"a{i}", 50.0 + i) for i in range(4)]
     b = [net.add_link(f"b{i}", 80.0) for i in range(2)]
     flows = []
@@ -98,13 +93,13 @@ def _run(bulk, solver, aggregate, n_per_wave=120, evict_at=None, evict_each=Fals
     )
 
 
-@pytest.mark.parametrize("solver,aggregate", SOLVER_GRID)
-def test_bulk_admission_bit_identical_to_sequential(solver, aggregate):
-    assert _run(True, solver, aggregate) == _run(False, solver, aggregate)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_bulk_admission_bit_identical_to_sequential(solver):
+    assert _run(True, solver) == _run(False, solver)
 
 
 def test_bulk_admission_identical_across_solver_paths():
-    signatures = {_run(True, s, agg) for s, agg in SOLVER_GRID}
+    signatures = {_run(True, solver) for solver in SOLVERS}
     assert len(signatures) == 1
 
 
@@ -142,15 +137,15 @@ def test_admit_flows_validates_specs():
         net.admit_flows([((), 5.0)])  # pathless needs a finite cap
 
 
-@pytest.mark.parametrize("solver,aggregate", SOLVER_GRID)
-def test_bulk_eviction_bit_identical_to_one_by_one(solver, aggregate):
-    batch = _run(True, solver, aggregate, evict_at=1.1)
-    single = _run(True, solver, aggregate, evict_at=1.1, evict_each=True)
+@pytest.mark.parametrize("solver", SOLVERS)
+def test_bulk_eviction_bit_identical_to_one_by_one(solver):
+    batch = _run(True, solver, evict_at=1.1)
+    single = _run(True, solver, evict_at=1.1, evict_each=True)
     assert batch == single
 
 
 def test_eviction_identical_across_solver_paths():
-    signatures = {_run(True, s, agg, evict_at=1.1) for s, agg in SOLVER_GRID}
+    signatures = {_run(True, solver, evict_at=1.1) for solver in SOLVERS}
     assert len(signatures) == 1
 
 

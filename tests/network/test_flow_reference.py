@@ -303,3 +303,66 @@ def test_write_amplified_path_counts_per_occurrence():
     sim.run()
     assert checks == [1.0]
     assert net.completed_flows == 2
+
+
+def test_rate_caps_split_one_path():
+    """Caps split flows on one path; each tier matches the reference.
+
+    Four flows on one link with caps inf/10/10/25: the capped tiers fix at
+    their caps and the uncapped flow takes what is left (100 - 45 = 55).
+    """
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    a = net.add_link("a", 100.0)
+    checks = []
+    for cap in (_INF, 10.0, 10.0, 25.0):
+        net.transfer([a], 50.0, rate_cap=cap)
+
+    def probe():
+        yield sim.timeout(0.5)
+        _check(net, checks)
+        assert [f.rate for f in net._active] == [55.0, 10.0, 10.0, 25.0]
+
+    sim.process(probe())
+    sim.run()
+    assert checks == [0.5]
+    assert net.completed_flows == 4
+
+
+def test_pathless_flows_run_at_their_cap():
+    """Path-less flows with identical caps each run at exactly the cap."""
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    done = [net.transfer([], 40.0, rate_cap=8.0) for _ in range(5)]
+    sim.run(until=sim.all_of(done))
+    ends = {e.value.end_time for e in done}
+    assert ends == {5.0}  # 40 bytes at the 8 B/s cap each
+
+
+@given(scenario=scenarios(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_scalar_kernel_is_scope_order_independent(scenario, data):
+    """Permuting the scalar scope leaves every rate bitwise equal.
+
+    Every flow fixed in a round gets the same ``minimum``, and each link's
+    debits are identical subtract/clamp steps, so the order in which the
+    scope lists its flows cannot move any rate.
+    """
+    capacities, flow_specs, _ = scenario
+    sim = Simulator()
+    net = FlowNetwork(sim, solver="scalar")
+    links = [net.add_link(f"l{i}", float(c)) for i, c in enumerate(capacities)]
+    for path, size, cap, _ in flow_specs:
+        net.transfer(
+            [links[i] for i in path],
+            float(size),
+            rate_cap=_INF if cap is None else float(cap),
+        )
+    flows = list(net._active)
+    net._compute_rates(flows)
+    expected = [flow.rate for flow in flows]
+    shuffled = data.draw(st.permutations(flows))
+    for flow in flows:
+        flow._rate = -1.0
+    net._compute_rates(shuffled)
+    assert [flow.rate for flow in flows] == expected
