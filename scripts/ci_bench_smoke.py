@@ -9,9 +9,9 @@ reference (``benchmarks/bench_quick_baseline.json``):
    solver optimisation must keep;
 2. the timed gate scenarios (``many_flow_contention``, ``flow_storm_5k``,
    ``flow_storm_100k``, ``flow_storm_100k_bulk`` and ``rpc_storm`` — the
-   ones that exercise the batched, vectorized max-min solver, the
-   calendar-queue scheduler, the bulk-admission fast path and the
-   metadata-plane RPC fast path) have not
+   ones that exercise the batched, vectorized max-min solver, the event
+   heap under 100k-flow completion storms, the bulk-admission fast path
+   and the metadata-plane RPC fast path) have not
    regressed by more than ``--slack`` (default 25%) against the reference
    wall time, after scaling by a per-run calibration factor measured on the
    untimed scenarios so a slower CI runner does not trip the gate.
@@ -37,7 +37,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_quick
 
 #: Scenarios whose wall time gates the solver's performance.
 #: ``flow_storm_100k`` runs its trimmed quick shape here (2 waves x 20k
-#: flows) — enough to exercise the vector arena and the calendar-queue wheel.
+#: flows) — enough to exercise the vector arena and same-instant event storms.
 #: ``flow_storm_100k_bulk`` is the same storm admitted wave-at-a-time
 #: through ``admit_flows`` (its digest must equal ``flow_storm_100k``'s).
 #: ``rpc_storm`` gates the metadata-plane fast path (fused delay bodies +

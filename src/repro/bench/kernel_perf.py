@@ -258,11 +258,10 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
     """Order-100k concurrent flows: the NWP-at-scale regime.
 
     Same synchronised-wave shape as ``flow_storm_5k``, scaled past what a
-    per-flow solver or a binary-heap event queue can sustain: each wave
-    parks ~100k flows on 20 distinct client→engine→media paths at one
-    simulated instant.  The solves run on the vectorized arena, and the
-    completion batches (tens of thousands of triggered events at one
-    instant) run on the calendar-queue scheduler.
+    per-flow solver can sustain: each wave parks ~100k flows on 20 distinct
+    client→engine→media paths at one simulated instant.  The solves run on
+    the vectorized arena; the completion batches (tens of thousands of
+    triggered events at one instant) stress the event heap.
     """
     waves, per_wave, tail = (2, 20_000, 120) if quick else (3, 100_000, 300)
     sim = Simulator(seed=23)
@@ -321,7 +320,6 @@ def _flow_storm_100k(quick: bool) -> ScenarioResult:
             "peak_concurrent_flows": peak[0],
             "solves": net.solver_runs,
             "changes": net.flow_changes,
-            "scheduler_switches": sim.scheduler_switches,
         },
     )
 
@@ -391,7 +389,6 @@ def _flow_storm_100k_bulk(quick: bool) -> ScenarioResult:
             "peak_concurrent_flows": peak[0],
             "solves": net.solver_runs,
             "changes": net.flow_changes,
-            "scheduler_switches": sim.scheduler_switches,
         },
     )
 

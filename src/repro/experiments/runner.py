@@ -140,7 +140,7 @@ class _Progress:
         if self.enabled and cached:
             self._render()
 
-    def step(self) -> None:
+    def advance(self) -> None:
         self.done += 1
         if self.enabled:
             self._render()
@@ -238,13 +238,13 @@ def run_grid(
                         results[index] = value
                         if cache is not None:
                             cache.store(fingerprint, unit.fn, value)
-                        progress.step()
+                        progress.advance()
     else:
         for index, unit, fingerprint in pending:
             value = unit.fn(**unit.kwargs)
             results[index] = value
             if cache is not None:
                 cache.store(fingerprint, unit.fn, value)
-            progress.step()
+            progress.advance()
     progress.finish()
     return results

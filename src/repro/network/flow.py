@@ -51,8 +51,7 @@ Performance notes (the kernel fast path, see ``repro bench``):
   water-filling rounds are then a handful of whole-array operations each —
   no per-flow Python.  Every floating-point operation matches the scalar
   path bit for bit (see ``tests/network/test_flow_vector.py``); the scalar
-  path remains available as an escape hatch via ``REPRO_SCALAR_SOLVER=1``
-  or ``FlowNetwork(sim, solver="scalar")``.
+  path remains available as ``FlowNetwork(sim, solver="scalar")``.
 
 Determinism is a hard constraint: identical seeds produce bit-identical
 timestamp logs, guarded by golden digests in
@@ -62,7 +61,6 @@ timestamp logs, guarded by golden digests in
 from __future__ import annotations
 
 import math
-import os
 from itertools import count
 from operator import attrgetter
 from sys import intern as _sintern
@@ -93,11 +91,6 @@ _VEC_OFF = 24
 #: smaller perturbed components are cheaper in the scalar solver even while
 #: the arena is active.
 _VEC_SOLVE_MIN = 40
-
-
-def _env_forces_scalar() -> bool:
-    """True when ``REPRO_SCALAR_SOLVER`` requests the pure-Python kernel."""
-    return os.environ.get("REPRO_SCALAR_SOLVER", "") not in ("", "0")
 
 
 #: C-level sort key for completion ordering (hot at 100k-flow batches).
@@ -322,9 +315,8 @@ class FlowNetwork:
 
     ``solver`` selects the water-filling implementation: ``"auto"``
     (default) migrates to the vectorized arena above ``_VEC_ON`` concurrent
-    flows, ``"scalar"`` pins the pure-Python kernel (also forced by the
-    ``REPRO_SCALAR_SOLVER=1`` environment escape hatch), ``"vector"`` pins
-    the arena from the first flow (used by the equivalence tests).
+    flows, ``"scalar"`` pins the pure-Python kernel, ``"vector"`` pins the
+    arena from the first flow (both used by the equivalence tests).
 
     All solver modes are bit-identical.
     """
@@ -332,8 +324,6 @@ class FlowNetwork:
     def __init__(self, sim: Simulator, solver: str = "auto") -> None:
         if solver not in ("auto", "scalar", "vector"):
             raise ValueError(f"unknown solver mode {solver!r}")
-        if _env_forces_scalar():
-            solver = "scalar"
         self.sim = sim
         self.solver = solver
         #: One :class:`_Route` per distinct path tuple ever transferred on

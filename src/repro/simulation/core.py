@@ -1,31 +1,15 @@
 """The simulator event loop.
 
 :class:`Simulator` owns simulated time and a pending-event queue of
-triggered events.  Events are processed in ``(time, sequence)`` order,
-making runs fully deterministic: two events triggered for the same instant
-are processed in the order they were scheduled.
-
-Two interchangeable queue implementations back the loop:
-
-* a **binary heap** (``heapq``) — optimal for the small pending sets of
-  ordinary runs;
-* a **calendar queue** (:class:`CalendarQueue`) — amortised O(1)
-  push/pop under storm load, when hundreds of thousands of events are
-  pending and every heap operation pays an O(log n) sift through them.
-
-``scheduler="auto"`` (the default) starts on the heap and migrates to the
-calendar queue once the pending count crosses ``_WHEEL_ON`` (and back below
-``_WHEEL_OFF``); ``"heap"``/``"wheel"`` pin one implementation, as does the
-``REPRO_SCHEDULER`` environment variable.  Both orders are exactly
-``(time, sequence)`` — the golden digests cannot tell them apart (enforced
-by ``tests/simulation/test_scheduler_identity.py``).
+triggered events, a binary heap (``heapq``) of ``(time, sequence, event)``
+entries.  Events are processed in ``(time, sequence)`` order, making runs
+fully deterministic: two events triggered for the same instant are
+processed in the order they were scheduled.
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 from math import inf as _INF
 from typing import Any, Generator, Iterable, List, Optional, Tuple
@@ -35,139 +19,7 @@ from repro.simulation.process import Process
 from repro.simulation.rng import RngRegistry
 from repro.simulation.trace import Tracer, global_tracer
 
-__all__ = ["CalendarQueue", "Simulator", "StopSimulation"]
-
-#: Pending-event population at which ``scheduler="auto"`` migrates the queue
-#: onto the calendar wheel, and back off it.  The wide hysteresis band keeps
-#: workloads hovering around the boundary from thrashing between
-#: representations (mirrors ``_VEC_ON``/``_VEC_OFF`` in the flow solver).
-_WHEEL_ON = 4096
-_WHEEL_OFF = 512
-
-#: Calendar day granularity: pending times are bucketed into integer days of
-#: 1/4096 s.  Any granularity is *correct* (order is always (time, seq));
-#: this one keeps same-instant storms in one day while bounding the number
-#: of distinct days a paper-scale run can populate.
-_DAYS_PER_SECOND = 4096.0
-
-
-def _env_scheduler() -> str:
-    """Scheduler forced by ``REPRO_SCHEDULER`` (``auto`` when unset)."""
-    value = os.environ.get("REPRO_SCHEDULER", "")
-    if value in ("", "0", "auto"):
-        return "auto"
-    if value in ("heap", "wheel"):
-        return value
-    raise ValueError(
-        f"REPRO_SCHEDULER must be 'heap', 'wheel' or 'auto', got {value!r}"
-    )
-
-
-class CalendarQueue:
-    """Calendar-queue event scheduler with exact ``(time, seq)`` order.
-
-    Entries are the same ``(time, seq, event)`` tuples the heap path uses.
-    Time is quantised into integer *days* (``int(time * _DAYS_PER_SECOND)``);
-    each pending day keeps an append-only list of its entries in a dict
-    keyed by day number, and a small binary heap orders the *distinct* day
-    numbers only.  The earliest day is drained through ``_run``, a sorted
-    list with a consumed-prefix cursor.
-
-    Why this beats the heap under storm load: a synchronised wave parks
-    10^5 events on a handful of distinct days, so pushes are plain list
-    appends (no O(log n) sift through the whole pending set), each day is
-    sorted once on first touch (timsort, near-linear on the
-    sequence-ordered appends), and same-instant follow-up events — the
-    dominant pattern, since triggered events are enqueued for *now* —
-    binary-insert at the tail of the current run.  In the sparse regime the
-    structure degrades gracefully to a heap over days, never worse than
-    O(log n) per operation.
-
-    Ordering is exact for *any* day width: an entry never leaves its day
-    out of order, days are visited in ascending order, and late pushes into
-    the current or an earlier day (always at a time >= the last pop, since
-    simulated time cannot run backwards) are merged into the run by binary
-    insertion.  Non-finite times sort after every finite day.
-    """
-
-    __slots__ = ("_days", "_dayheap", "_run", "_rpos", "_run_day", "_size", "_inv")
-
-    def __init__(self, inv_width: float = _DAYS_PER_SECOND) -> None:
-        #: day number -> unsorted list of entries (days beyond ``_run_day``).
-        self._days: dict = {}
-        #: heap of the distinct day numbers present in ``_days``.
-        self._dayheap: List[Any] = []
-        #: sorted entries of every day <= ``_run_day``; ``_rpos`` is the
-        #: consumed prefix.
-        self._run: List[Tuple[float, int, "Event"]] = []
-        self._rpos = 0
-        self._run_day: Any = -(1 << 62)
-        self._size = 0
-        self._inv = inv_width
-
-    def __len__(self) -> int:
-        return self._size
-
-    def push(self, entry: Tuple[float, int, "Event"]) -> None:
-        """Insert one ``(time, seq, event)`` entry."""
-        try:
-            day = int(entry[0] * self._inv)
-        except OverflowError:  # +inf: after every finite day
-            day = _INF
-        if day <= self._run_day:
-            # The run is sorted and everything before _rpos has already
-            # been popped; time monotonicity guarantees the entry lands at
-            # or after the cursor, so the binary search can skip the
-            # consumed prefix.
-            insort(self._run, entry, self._rpos)
-        else:
-            bucket = self._days.get(day)
-            if bucket is None:
-                self._days[day] = [entry]
-                heappush(self._dayheap, day)
-            else:
-                bucket.append(entry)
-        self._size += 1
-
-    def _advance(self) -> None:
-        """Replace the exhausted run with the next pending day's entries."""
-        day = heappop(self._dayheap)
-        entries = self._days.pop(day)
-        entries.sort()
-        self._run = entries
-        self._rpos = 0
-        self._run_day = day
-
-    def peek(self) -> float:
-        """Time of the earliest pending entry, or ``inf`` when empty."""
-        if self._rpos >= len(self._run):
-            if not self._size:
-                return _INF
-            self._advance()
-        return self._run[self._rpos][0]
-
-    def pop(self) -> Tuple[float, int, "Event"]:
-        """Remove and return the earliest entry (exact (time, seq) order)."""
-        if self._rpos >= len(self._run):
-            if not self._size:
-                raise IndexError("pop from an empty CalendarQueue")
-            self._advance()
-        entry = self._run[self._rpos]
-        self._rpos += 1
-        self._size -= 1
-        return entry
-
-    def drain(self) -> List[Tuple[float, int, "Event"]]:
-        """Remove and return all remaining entries (in no particular order)."""
-        out = self._run[self._rpos :]
-        for bucket in self._days.values():
-            out.extend(bucket)
-        self._days.clear()
-        self._dayheap.clear()
-        self._run = []
-        self._rpos = 0
-        self._size = 0
-        return out
+__all__ = ["Simulator", "StopSimulation"]
 
 
 class StopSimulation(Exception):
@@ -196,17 +48,9 @@ class Simulator:
     trace:
         When True, a :class:`Tracer` collects structured records that models
         emit via :meth:`record`.
-    scheduler:
-        ``"auto"`` (default) starts on the binary heap and migrates to the
-        calendar queue when the pending population crosses ``_WHEEL_ON``
-        (returning below ``_WHEEL_OFF``); ``"heap"`` / ``"wheel"`` pin one
-        implementation for the whole run.  ``REPRO_SCHEDULER`` overrides
-        this argument when set to ``heap`` or ``wheel``.
     """
 
-    def __init__(
-        self, seed: int = 0, trace: bool = False, scheduler: str = "auto"
-    ) -> None:
+    def __init__(self, seed: int = 0, trace: bool = False) -> None:
         self._now: float = 0.0
         self._queue: List[Tuple[float, int, Event]] = []
         self._seq = count()
@@ -214,19 +58,6 @@ class Simulator:
         self._running = False
         #: Freelist of recycled fast-lane events (see :meth:`lane_acquire`).
         self._lane_free: List[Event] = []
-        mode = _env_scheduler()
-        if mode == "auto":
-            mode = scheduler
-        if mode not in ("auto", "heap", "wheel"):
-            raise ValueError(
-                f"scheduler must be 'auto', 'heap' or 'wheel', got {scheduler!r}"
-            )
-        self._auto = mode == "auto"
-        self._wheel: Optional[CalendarQueue] = (
-            CalendarQueue() if mode == "wheel" else None
-        )
-        #: Number of heap<->wheel migrations performed by ``scheduler="auto"``.
-        self.scheduler_switches = 0
         self.rng = RngRegistry(seed)
         # trace=True gets a private tracer; otherwise fall back to the
         # process-wide tracer when one is installed (see ``--trace-out``).
@@ -242,13 +73,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of events waiting in the queue."""
-        wheel = self._wheel
-        return len(wheel) if wheel is not None else len(self._queue)
-
-    @property
-    def active_scheduler(self) -> str:
-        """Which queue implementation currently backs the loop."""
-        return "wheel" if self._wheel is not None else "heap"
+        return len(self._queue)
 
     # -- event factories ----------------------------------------------------
     def event(self, name: str = "") -> Event:
@@ -274,7 +99,7 @@ class Simulator:
         exactly what one shared bootstrap's callback list replays, in the
         same order, before any event the resumed processes themselves
         scheduled (those carry later sequence numbers either way).  What
-        the batch saves is the per-process heap/wheel insertion and the
+        the batch saves is the per-process heap insertion and the
         per-process ``f"{name}:start"`` string build, which at
         100k-process waves is a measurable slice of spawn cost.
 
@@ -341,50 +166,11 @@ class Simulator:
     # -- scheduling (internal API used by events) ---------------------------
     def _schedule(self, delay: float, event: Event) -> None:
         """Enqueue ``event`` to be processed at ``now + delay``."""
-        entry = (self._now + delay, next(self._seq), event)
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push(entry)
-            return
-        queue = self._queue
-        heappush(queue, entry)
-        if self._auto and len(queue) >= _WHEEL_ON:
-            self._promote()
+        heappush(self._queue, (self._now + delay, next(self._seq), event))
 
     def _enqueue_triggered(self, event: Event) -> None:
         """Enqueue an event that was just triggered for immediate processing."""
-        entry = (self._now, next(self._seq), event)
-        wheel = self._wheel
-        if wheel is not None:
-            wheel.push(entry)
-            return
-        queue = self._queue
-        heappush(queue, entry)
-        if self._auto and len(queue) >= _WHEEL_ON:
-            self._promote()
-
-    def _promote(self) -> None:
-        """Migrate the pending set from the heap onto the calendar queue.
-
-        ``self._queue`` is emptied *in place* so any caller holding the list
-        (the hoisted local in :meth:`_dispatch`) observes it drain rather
-        than keeping a stale alias; the dispatch loops re-check
-        ``self._wheel`` after every callback for exactly this reason.
-        """
-        wheel = CalendarQueue()
-        for entry in self._queue:
-            wheel.push(entry)
-        del self._queue[:]
-        self._wheel = wheel
-        self.scheduler_switches += 1
-
-    def _demote(self) -> None:
-        """Migrate the (now small) pending set back onto the heap."""
-        queue = self._queue
-        queue.extend(self._wheel.drain())
-        heapify(queue)
-        self._wheel = None
-        self.scheduler_switches += 1
+        heappush(self._queue, (self._now, next(self._seq), event))
 
     def request_flush(self, callback: Any) -> None:
         """Run ``callback()`` once at the end of the current instant.
@@ -409,53 +195,10 @@ class Simulator:
             self.tracer.record(self._now, kind, fields)
 
     # -- execution -----------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event in the queue.
-
-        Raises ``IndexError`` if the queue is empty.  Attribute access is on
-        slots directly (not the public properties): this together with the
-        inlined loop in :meth:`run` is the event-dispatch fast path.
-        """
-        wheel = self._wheel
-        if wheel is not None:
-            when, _, event = wheel.pop()
-        else:
-            when, _, event = heappop(self._queue)
-        if when < self._now:  # pragma: no cover - internal invariant
-            raise AssertionError("event scheduled in the past")
-        self._now = when
-
-        if event._value is PENDING:
-            # A time-scheduled event (Timeout) firing now: assume its value.
-            event._value = event._delayed_value
-
-        callbacks = event.callbacks
-        event.callbacks = None
-        assert callbacks is not None, "event processed twice"
-        for callback in callbacks:
-            callback(event)
-
-        if not event._ok and not event._defused:
-            # Nobody handled the failure: surface it rather than dropping it.
-            raise event._value
-
-        flush = self._flush
-        while flush and self.peek() > self._now:
-            callbacks = flush[:]
-            del flush[:]
-            for callback in callbacks:
-                callback()
-
-        wheel = self._wheel
-        if wheel is not None and self._auto and len(wheel) <= _WHEEL_OFF:
-            self._demote()
-
     def peek(self) -> float:
         """Time of the next queued event, or ``inf`` if the queue is empty."""
-        wheel = self._wheel
-        if wheel is not None:
-            return wheel.peek()
-        return self._queue[0][0] if self._queue else _INF
+        queue = self._queue
+        return queue[0][0] if queue else _INF
 
     def run(self, until: Any = None) -> Any:
         """Run the simulation.
@@ -476,8 +219,10 @@ class Simulator:
                 return None
             if isinstance(until, Event):
                 sentinel = until
-                sentinel.add_callback(_raise_stop)
                 try:
+                    # An already-processed event runs the callback (and so
+                    # raises) right here, before any dispatch.
+                    sentinel.add_callback(_raise_stop)
                     self._dispatch()
                 except StopSimulation as stop:
                     event = stop.args[0]
@@ -501,92 +246,42 @@ class Simulator:
             self._running = False
 
     def _dispatch(self, deadline: Optional[float] = None) -> None:
-        """Drain the queue (up to ``deadline``) with step() inlined.
+        """Drain the queue (up to ``deadline``).
 
-        One bound-method call per event adds up over the tens of millions of
-        events a paper-scale run processes; hoisting the loop body (and the
-        queue/pop lookups) here is worth ~15% of total dispatch cost.
-        Semantics are identical to calling :meth:`step` in a loop.
-
-        The outer loop selects the queue implementation; each inner loop
-        runs until the simulation is finished or ``scheduler="auto"``
-        migrates the pending set.  The heap loop re-checks ``self._wheel``
-        after every batch of callbacks because any callback may push the
-        population over ``_WHEEL_ON`` (``_promote`` empties ``self._queue``
-        in place, so the hoisted ``queue`` local drains rather than going
-        stale).  The wheel loop only demotes at its own pop site, so its
-        hoisted locals cannot be invalidated mid-iteration.
+        The loop body is written out here rather than factored into a
+        per-event method: one bound-method call per event adds up over the
+        tens of millions of events a paper-scale run processes, and
+        hoisting the queue/pop lookups is worth ~15% of dispatch cost.
         """
         flush = self._flush
+        queue = self._queue
+        pop = heappop
         while True:
-            wheel = self._wheel
-            if wheel is None:
-                queue = self._queue
-                pop = heappop
-                while True:
-                    if flush and (not queue or queue[0][0] > self._now):
-                        # End of the current instant: run the one-shot flush
-                        # callbacks before time advances (or the run ends).
-                        callbacks = flush[:]
-                        del flush[:]
-                        for callback in callbacks:
-                            callback()
-                        if self._wheel is not None:
-                            break  # a flush callback promoted to the wheel
-                        continue
-                    if not queue:
-                        if self._wheel is not None:
-                            break  # promoted mid-callback; queue drained
-                        return
-                    if deadline is not None and queue[0][0] > deadline:
-                        return
-                    when, _, event = pop(queue)
-                    self._now = when
+            if flush and (not queue or queue[0][0] > self._now):
+                # End of the current instant: run the one-shot flush
+                # callbacks before time advances (or the run ends).
+                callbacks = flush[:]
+                del flush[:]
+                for callback in callbacks:
+                    callback()
+                continue
+            if not queue:
+                return
+            if deadline is not None and queue[0][0] > deadline:
+                return
+            when, _, event = pop(queue)
+            self._now = when
 
-                    if event._value is PENDING:
-                        event._value = event._delayed_value
+            if event._value is PENDING:
+                # A time-scheduled event (Timeout) firing now: assume its value.
+                event._value = event._delayed_value
 
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    assert callbacks is not None, "event processed twice"
-                    for callback in callbacks:
-                        callback(event)
+            callbacks = event.callbacks
+            event.callbacks = None
+            assert callbacks is not None, "event processed twice"
+            for callback in callbacks:
+                callback(event)
 
-                    if not event._ok and not event._defused:
-                        raise event._value
-
-                    if self._wheel is not None:
-                        break  # an event callback promoted to the wheel
-            else:
-                wpeek = wheel.peek
-                wpop = wheel.pop
-                auto = self._auto
-                while True:
-                    if flush and wpeek() > self._now:
-                        callbacks = flush[:]
-                        del flush[:]
-                        for callback in callbacks:
-                            callback()
-                        continue
-                    if not wheel._size:
-                        return
-                    if deadline is not None and wpeek() > deadline:
-                        return
-                    when, _, event = wpop()
-                    self._now = when
-
-                    if event._value is PENDING:
-                        event._value = event._delayed_value
-
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    assert callbacks is not None, "event processed twice"
-                    for callback in callbacks:
-                        callback(event)
-
-                    if not event._ok and not event._defused:
-                        raise event._value
-
-                    if auto and wheel._size <= _WHEEL_OFF:
-                        self._demote()
-                        break
+            if not event._ok and not event._defused:
+                # Nobody handled the failure: surface it rather than dropping it.
+                raise event._value

@@ -101,24 +101,6 @@ def test_auto_crosses_threshold_both_ways():
     assert net.mode_switches >= 2  # entered and left the arena
 
 
-def test_env_hatch_forces_scalar(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_SOLVER", "1")
-    sim = Simulator()
-    net = FlowNetwork(sim, solver="vector")
-    assert net.solver == "scalar"
-    link = net.add_link("l", 100.0)
-    done = [net.transfer([link], 100.0) for _ in range(120)]
-    sim.run(until=sim.all_of(done))
-    assert net.mode_switches == 0  # never entered the arena
-
-
-def test_env_hatch_zero_is_off(monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_SOLVER", "0")
-    sim = Simulator()
-    net = FlowNetwork(sim, solver="vector")
-    assert net.solver == "vector"
-
-
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_identical_path_workload_bitwise_identical(seed):

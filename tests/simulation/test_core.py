@@ -1,6 +1,9 @@
 """Simulator event-loop behaviour: ordering, run modes, determinism."""
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.simulation import Simulator
 from repro.simulation.core import StopSimulation
@@ -37,6 +40,62 @@ def test_ties_break_by_schedule_order(sim):
     assert order == list(range(5))
 
 
+def test_same_instant_ties_dispatch_fifo(sim):
+    """50 same-instant ties fire in scheduling order, and zero-delay
+    follow-ups scheduled at that instant fire after every tie already
+    pending, again in scheduling order."""
+    order = []
+
+    def tie(tag):
+        order.append(tag)
+        sim.timeout(0.0).add_callback(lambda e: order.append(("after", tag)))
+
+    for tag in range(50):
+        sim.timeout(1.0).add_callback(lambda e, t=tag: tie(t))
+    sim.run()
+    assert order == list(range(50)) + [("after", t) for t in range(50)]
+    assert sim.now == 1.0
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_random_schedule_dispatches_by_due_time_then_schedule_order(seed):
+    """A seeded random schedule dispatches in (due time, scheduling order).
+
+    The workload mixes same-instant ties, sub-millisecond spacing,
+    multi-second gaps, and callbacks that schedule further timeouts
+    (including zero-delay same-instant follow-ups) mid-run.  The expected
+    order is computed independently of the simulator: every timeout is
+    keyed by its due time and a counter bumped when it is created.
+    """
+    rng = random.Random(seed)
+    sim = Simulator()
+    keys = []  # (due, schedule index, label) for every timeout created
+    log = []
+
+    def schedule(delay, label, depth):
+        keys.append((sim.now + delay, len(keys), label))
+        sim.timeout(delay).add_callback(lambda e: fire(label, depth))
+
+    def fire(label, depth):
+        log.append((sim.now, label))
+        if depth > 0:
+            delay = rng.choice([0.0, 0.0, 0.00007, 0.5])
+            schedule(delay, label + "+", depth - 1)
+
+    delays = [0.0, 0.0001, 0.0001, 0.003, 0.25, 1.0, 1.0, 7.5]
+    for i in range(200):
+        delay = rng.choice(delays)
+        if rng.random() < 0.2:
+            schedule(delay, f"c{i}", rng.randint(1, 3))
+        else:
+            schedule(delay, f"e{i}", 0)
+    assert sim.pending == 200
+    sim.run()
+    assert sim.pending == 0
+    assert log == [(due, label) for due, _, label in sorted(keys)]
+
+
 def test_run_until_time_stops_exactly(sim):
     fired = []
     sim.timeout(1.0).add_callback(lambda e: fired.append(1))
@@ -69,6 +128,27 @@ def test_run_until_event_raises_its_failure(sim):
 
     with pytest.raises(RuntimeError, match="boom"):
         sim.run(until=sim.process(proc(sim)))
+
+
+def test_run_until_processed_event_returns_value_again(sim):
+    timeout = sim.timeout(1, value=42)
+    assert sim.run(until=timeout) == 42
+    sim.timeout(5)
+    # The event is already processed: same answer, and nothing dispatched.
+    assert sim.run(until=timeout) == 42
+    assert sim.now == 1
+
+
+def test_run_until_processed_failed_event_raises_its_failure(sim):
+    def proc(sim):
+        yield sim.timeout(1.0)
+        raise RuntimeError("boom")
+
+    process = sim.process(proc(sim))
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=process)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run(until=process)
 
 
 def test_run_until_never_triggered_event_errors(sim):
