@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,12 +60,13 @@ class Payload(ABC):
     def to_bytes(self) -> bytes:
         """Materialise the payload (may allocate ``size`` bytes)."""
 
-    def _chunks(self) -> Iterator[bytes]:
-        """Yield the content as a sequence of byte chunks.
+    def _chunks(self) -> Iterator[Union[bytes, memoryview]]:
+        """Yield the content as a sequence of bytes-like chunks.
 
         Subclasses with a natural block structure override this so digest
         computation streams in bounded memory instead of materialising the
-        whole payload.
+        whole payload.  Chunks may be read-only views; consumers only hash
+        or join them.
         """
         yield self.to_bytes()
 
@@ -171,6 +172,8 @@ class PatternPayload(Payload):
     def __init__(self, size: int, seed: int, origin: int = 0) -> None:
         if size < 0:
             raise ValueError(f"size must be non-negative, got {size}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         if origin < 0:
             raise ValueError(f"origin must be non-negative, got {origin}")
         self._size = int(size)
@@ -191,16 +194,18 @@ class PatternPayload(Payload):
     def _block(self, block: int) -> np.ndarray:
         return _pattern_block(self.seed, block)
 
-    def _chunks(self) -> Iterator[bytes]:
+    def _chunks(self) -> Iterator[memoryview]:
+        # Zero-copy views of the frozen cached blocks: SHA-256 and
+        # ``bytes.join`` read them in place.
         if self._size == 0:
             return
         first_block = self.origin // self._BLOCK
         last_block = (self.origin + self._size - 1) // self._BLOCK
         for block in range(first_block, last_block + 1):
-            data = self._block(block)
+            data = memoryview(self._block(block))
             lo = max(self.origin - block * self._BLOCK, 0)
             hi = min(self.origin + self._size - block * self._BLOCK, self._BLOCK)
-            yield data[lo:hi].tobytes()
+            yield data[lo:hi]
 
     def to_bytes(self) -> bytes:
         return b"".join(self._chunks())
@@ -213,15 +218,27 @@ class PatternPayload(Payload):
 def _pattern_block(seed: int, block: int) -> np.ndarray:
     """One 64 KiB pattern block, LRU-cached across payload instances.
 
-    Pattern bytes are a pure function of ``(seed, block)``; serving
-    workloads re-read the same hot fields, so regenerating a PCG64 stream
-    per read is the single largest avoidable cost at paper scale.  The
-    cached array is frozen — callers only slice and ``tobytes`` it.
+    Pattern bytes are a pure function of ``(seed, block)``: the first
+    ``_BLOCK`` bytes of the raw output of a PCG64 bit generator seeded with
+    ``SeedSequence(entropy=[seed, block])``, each 64-bit word laid out
+    little-endian.  These equal the bytes a ``numpy.random`` Generator over
+    that bit generator draws as ``_BLOCK`` full-range uint8 integers (the
+    reference formula the payload tests check against): that draw consumes
+    buffered 32-bit outputs low byte first, and PCG64 splits each 64-bit
+    output into two 32-bit outputs low word first, so both give the raw
+    words' little-endian bytes in order.  Reading the raw stream skips the
+    Generator's per-byte buffering (several times cheaper per block), and
+    numpy's compatibility policy keeps a bit generator's raw stream fixed
+    where Generator methods may change.  The explicit ``"<u8"`` keeps the
+    layout the same on big-endian hosts.
+
+    Serving workloads re-read the same hot fields, so the block is cached;
+    the cached array is frozen — callers only take read-only views of it.
     """
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=[seed, block]))
-    )
-    data = rng.integers(0, 256, size=PatternPayload._BLOCK, dtype=np.uint8)
+    words = np.random.PCG64(
+        np.random.SeedSequence(entropy=[seed, block])
+    ).random_raw(PatternPayload._BLOCK // 8)
+    data = words.astype("<u8", copy=False).view(np.uint8)
     data.setflags(write=False)
     return data
 
@@ -292,7 +309,7 @@ class ConcatPayload(Payload):
             return picked[0]
         return ConcatPayload(picked)
 
-    def _chunks(self) -> Iterator[bytes]:
+    def _chunks(self) -> Iterator[Union[bytes, memoryview]]:
         for piece in self._pieces:
             yield from piece._chunks()
 
